@@ -1286,7 +1286,7 @@ fn spawn_serve_helper(
     let mut stdout = std::io::BufReader::new(child.stdout.take().expect("serve helper stdout"));
     let mut line = String::new();
     stdout.read_line(&mut line).expect("serve helper READY");
-    let mut parts = line.trim().split_whitespace();
+    let mut parts = line.split_whitespace();
     assert_eq!(parts.next(), Some("READY"), "serve helper said {line:?}");
     let addr = parts.next().expect("serve helper addr").parse().expect("serve helper addr");
     let chosen = parts.next().unwrap_or("unknown").to_string();
@@ -1302,7 +1302,7 @@ impl ServeHelper {
         let mut line = String::new();
         self.stdout.read_line(&mut line).expect("serve helper stats");
         let mut vals =
-            line.trim().split_whitespace().map(|t| t.parse::<u64>().expect("stats field"));
+            line.split_whitespace().map(|t| t.parse::<u64>().expect("stats field"));
         let mut next = || vals.next().expect("nine stats fields");
         sweb_reactor::IoStats {
             syscalls: next(),

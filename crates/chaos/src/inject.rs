@@ -426,6 +426,24 @@ impl Injector {
         }
     }
 
+    /// Whether a fault that slows *every* request on `node` — a brownout,
+    /// or an injected overload's standing queue — covers it right now.
+    /// Counts nothing: an engine asks this to route each request to the
+    /// path where such faults apply, and they are counted there.
+    pub fn slows_every_request(&self, node: u32) -> bool {
+        self.active && self.slows_every_request_at(node, self.now_ms())
+    }
+
+    /// Whole-node slowdown query at an explicit run offset.
+    pub fn slows_every_request_at(&self, node: u32, now_ms: u64) -> bool {
+        self.faults.iter().any(|f| match *f {
+            Fault::Brownout { node: n, window, .. } | Fault::Overload { node: n, window, .. } => {
+                n == node && window.contains(now_ms)
+            }
+            _ => false,
+        })
+    }
+
     /// Artificial latency every request on `node` pays right now (the
     /// brownout fault shape: the whole node degraded, not just disk).
     pub fn brownout_delay(&self, node: u32) -> Option<Duration> {
@@ -468,6 +486,22 @@ mod tests {
         assert!(!inj.fd_pressure_at(0, 500));
         assert_eq!(inj.disk_delay_at(0, 500), None);
         assert_eq!(inj.counts().snapshot(), FaultCountsSnapshot::default());
+    }
+
+    #[test]
+    fn whole_node_slowdowns_are_reported_without_counting() {
+        let plan = FaultPlan::seeded(0)
+            .with(Fault::Brownout { node: 0, delay_ms: 15, window: Window::between(0, 100) })
+            .with(Fault::Overload { node: 1, sojourn_us: 9_000, window: Window::between(50, 150) })
+            .with(Fault::SlowDisk { node: 2, extra_ms: 25, window: Window::ALWAYS });
+        let inj = Injector::from_plan(&plan);
+        assert!(inj.slows_every_request_at(0, 10));
+        assert!(!inj.slows_every_request_at(0, 120), "brownout window over");
+        assert!(inj.slows_every_request_at(1, 120));
+        assert!(!inj.slows_every_request_at(1, 10), "overload window not begun");
+        assert!(!inj.slows_every_request_at(2, 10), "a slow disk slows disk reads only");
+        assert_eq!(inj.counts().snapshot(), FaultCountsSnapshot::default());
+        assert!(!Injector::disabled().slows_every_request(0));
     }
 
     #[test]

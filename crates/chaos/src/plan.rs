@@ -87,7 +87,9 @@ pub enum Fault {
         /// When the fault is active.
         window: Window,
     },
-    /// Add `extra_ms` of artificial latency to every file read on `node`.
+    /// Add `extra_ms` of artificial latency to every disk read on `node`
+    /// (file-cache misses, streamed large files); documents answered
+    /// from the file cache never touch the disk and are not slowed.
     SlowDisk {
         /// Affected node.
         node: u32,

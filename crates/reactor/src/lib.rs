@@ -14,10 +14,16 @@
 //!        accept ──▶ [admission: cap or 503] ──▶ Reading ──▶ ReadingBody
 //!                                                  │ parse (incremental)
 //!                                                  ▼
-//!        workers ◀── dispatch ────────────── Dispatched
-//!           │  respond() (blocking file I/O off the loop)
-//!           ▼
-//!        completion queue ──wakeup──▶ Writing ──▶ close | keep-alive ↺
+//!                      dispatch: App::respond() on the loop (front half)
+//!                         │ Answer::Ready                │ Answer::Defer
+//!                         │ (in memory: cache hit,       ▼
+//!                         │  304, 302, early 4xx/5xx)   workers: continuation
+//!                         │                              │ (disk, peer pull,
+//!                         │                              │  handler, stall)
+//!                         │                              ▼
+//!                         │            completion queue ──wakeup──┐
+//!                         ▼                                       ▼
+//!                      Writing ──▶ close | keep-alive ↺  ◀────────┘
 //! ```
 //!
 //! * **Events** come from [`sys::Poller`] — epoll readiness on Linux,
@@ -31,11 +37,15 @@
 //!   buffer and [`sweb_http::try_parse_request`] distinguishes "need more
 //!   bytes" from "can never parse" without re-scanning cost blowups.
 //! * **Timeouts** ride a hashed [`timer::TimerWheel`] with lazy
-//!   cancellation: slow or idle clients are evicted without per-timer
-//!   bookkeeping and without ever blocking healthy connections.
-//! * **Blocking work** (file reads, CGI) runs on a bounded
-//!   [`workers::WorkerPool`]; a full queue sheds (503) instead of
-//!   queueing unboundedly.
+//!   cancellation and one live entry per connection: slow or idle
+//!   clients are evicted without per-timer bookkeeping and without ever
+//!   blocking healthy connections.
+//! * **Answers split by whether they block** (Flash's AMPED shape):
+//!   [`App::respond`] runs on the loop and either finishes the reply from
+//!   memory ([`Answer::Ready`], written at once — no queue, no doorbell)
+//!   or returns the blocking remainder ([`Answer::Defer`]), which runs on
+//!   a bounded [`workers::WorkerPool`]; a full queue sheds (503) instead
+//!   of queueing unboundedly.
 //! * **Transmit is zero-copy**: responses drain as head bytes plus a
 //!   shared [`Bytes`] body gathered by `writev(2)` (no per-request body
 //!   copy), and large [`FileBody`] payloads stream in-kernel via
@@ -68,7 +78,7 @@ use sweb_telemetry::{Phase, RequestDeadline};
 
 use slab::Slab;
 use sys::{Event, Interest, Poller};
-use timer::{TimerEntry, TimerWheel};
+use timer::{Deadline, TimerEntry, TimerWheel};
 use workers::WorkerPool;
 
 pub use sys::{IoBackend, IoStats};
@@ -102,6 +112,21 @@ impl From<Response> for Reply {
     }
 }
 
+/// The blocking remainder of an answer, run on a worker thread.
+pub type Continuation = Box<dyn FnOnce() -> Reply + Send + 'static>;
+
+/// What [`App::respond`] hands back to the loop.
+pub enum Answer {
+    /// Finished on the loop thread without blocking: the loop writes it
+    /// straight away. It never queues, so it reports no queue sojourn.
+    Ready(Reply),
+    /// The rest of the answer may block (disk, peer pull, handler): the
+    /// loop submits the continuation to the worker pool, behind the same
+    /// sojourn report, deadline checks and full-queue shedding every
+    /// deferred answer gets.
+    Defer(Continuation),
+}
+
 /// Verdict from [`App::accept_gate`], consulted before each accept burst.
 /// Lets the application (or a fault injector riding inside it) throttle
 /// the listener without owning the loop.
@@ -117,12 +142,18 @@ pub enum AcceptGate {
     FailFd,
 }
 
-/// What the reactor serves. `respond` runs on a **worker thread** (it may
-/// block on disk); every hook runs on the event-loop thread and must be
-/// cheap and non-blocking (counter bumps).
+/// What the reactor serves. `respond` and every hook run on the
+/// event-loop thread and must not block: hooks are counter bumps, and
+/// `respond` does memory lookups only, handing anything that may block
+/// back as an [`Answer::Defer`] continuation for the worker pool.
+/// [`App::on_queue_sojourn`] runs on the worker that picked up such a
+/// continuation.
 pub trait App: Send + Sync + 'static {
-    /// Produce the response for one parsed request.
-    fn respond(&self, peer: &str, req: &Request, body: &[u8]) -> Reply;
+    /// Answer one parsed request: finished ([`Answer::Ready`]) when that
+    /// takes no blocking work, otherwise the blocking remainder
+    /// ([`Answer::Defer`]). Admission and scheduling decisions taken here
+    /// travel inside the continuation; it must not take them again.
+    fn respond(&self, peer: &str, req: Request, body: Vec<u8>) -> Answer;
 
     /// Consulted before each accept burst; see [`AcceptGate`].
     fn accept_gate(&self) -> AcceptGate {
@@ -161,7 +192,8 @@ pub trait App: Send + Sync + 'static {
     /// One request phase finished on this engine: accept (admission
     /// hand-off), parse (first byte to dispatched request), or write
     /// (response queued to socket drained). The decide/fetch phases are
-    /// measured inside [`App::respond`] by the application itself.
+    /// measured inside [`App::respond`] (and its continuation) by the
+    /// application itself.
     fn on_phase(&self, _phase: Phase, _micros: u64) {}
     /// This app's event loop is about to start polling (called on the
     /// loop thread). With [`spawn_sharded`], each shard's app hears its
@@ -179,11 +211,13 @@ pub trait App: Send + Sync + 'static {
     /// called on the loop thread whenever a tick did I/O work. Deltas,
     /// not totals: sum them into counters.
     fn on_io_stats(&self, _stats: IoStats) {}
-    /// How long one request sat in the worker submission queue before a
-    /// worker picked it up (called on the worker thread, just before
-    /// `respond`). This is the *sojourn time* an adaptive admission
-    /// controller feeds on: a standing queue here means the node is past
-    /// capacity no matter what the connection count says.
+    /// How long one deferred answer sat in the worker submission queue
+    /// before a worker picked it up (called on the worker thread, just
+    /// before the continuation runs). This is the *sojourn time* an
+    /// adaptive admission controller feeds on: a standing queue here
+    /// means the node is past capacity no matter what the connection
+    /// count says. [`Answer::Ready`] answers never queue and report
+    /// nothing.
     fn on_queue_sojourn(&self, _micros: u64) {}
     /// `Retry-After` seconds for every 503 this reactor emits (admission
     /// cap, full worker queue, missed deadline). Applications derive it
@@ -627,8 +661,9 @@ enum ConnState {
     Reading,
     /// Head parsed; accumulating `need` bytes of POST body.
     ReadingBody { req: Box<Request>, need: usize },
-    /// A worker owns the request; the loop ignores the socket (except
-    /// errors) until the completion arrives.
+    /// The request is being answered — for a deferred answer, by a
+    /// worker; the loop ignores the socket (except errors) until the
+    /// completion arrives.
     Dispatched,
     /// Draining the serialized response.
     Writing,
@@ -663,9 +698,8 @@ struct Conn {
     keep_alive: bool,
     /// Close after the in-progress write (protocol errors, shed).
     rounds: u32,
-    /// Current eviction deadline (reactor ms); timer entries must match
-    /// this exactly to act — anything else is a stale wheel entry.
-    deadline_ms: u64,
+    /// Eviction clock: the current deadline and its one live wheel entry.
+    timer: Deadline,
     interest: Interest,
     /// When the first byte of the in-progress request arrived (parse
     /// phase start); `None` between requests.
@@ -687,14 +721,107 @@ struct Conn {
     pending_read: bool,
 }
 
-/// A finished `respond` call coming back from the worker pool.
-struct Completion {
-    token: usize,
-    gen: u64,
+/// A reply serialized for the connection state machine.
+struct Framed {
     head: Vec<u8>,
     body: Bytes,
     file: Option<FileTx>,
     keep_alive: bool,
+}
+
+impl Framed {
+    /// An in-memory answer that closes the connection (400, 503).
+    fn closing(resp: Response) -> Framed {
+        let (head, body) = resp.to_wire_parts(false);
+        Framed { head, body, file: None, keep_alive: false }
+    }
+}
+
+/// How one request's reply becomes wire bytes: fixed at dispatch, then
+/// applied on the loop thread (ready answers) or on a worker (deferred).
+#[derive(Clone, Copy)]
+struct Framing {
+    deadline: RequestDeadline,
+    keep_alive: bool,
+    head_only: bool,
+    transmit: TransmitMode,
+    sendfile_ok: bool,
+    /// When the backend can SEND_ZC, moderate files are worth
+    /// materializing: the body then rides the ring as one zero-copy op
+    /// instead of a per-chunk sendfile loop on the loop thread.
+    zc_file_ok: bool,
+}
+
+impl Framing {
+    /// Whether a file payload of `len` bytes streams with `sendfile(2)`
+    /// rather than being read into memory first.
+    fn streams(&self, len: u64) -> bool {
+        self.sendfile_ok && !(self.zc_file_ok && len <= ZC_FILE_MAX)
+    }
+
+    /// Whether framing `reply` is free of blocking reads — false only for
+    /// a file payload that must be materialized.
+    fn is_nonblocking(&self, reply: &Reply) -> bool {
+        reply.file.as_ref().is_none_or(|fb| self.head_only || self.streams(fb.len))
+    }
+
+    /// Serialize `reply`; `None` means the fetch checkpoint had already
+    /// passed before the work could start. The checkpoint is checked
+    /// again here, so a too-late answer becomes a definite 503 — under
+    /// injected slow-disk both engines then fail identically.
+    fn frame(&self, app: &dyn App, reply: Option<Reply>) -> Framed {
+        let overrun = reply.is_none() || self.deadline.overrun(Phase::Fetch);
+        let reply = match reply {
+            Some(reply) if !overrun => reply,
+            _ => {
+                app.on_deadline_overrun();
+                Reply::from(overloaded_response(app.retry_after_secs()))
+            }
+        };
+        let mut resp = reply.response;
+        let mut keep_alive = self.keep_alive && !overrun;
+        if keep_alive {
+            resp.headers.set("Connection", "Keep-Alive");
+        }
+        let mut file: Option<FileTx> = None;
+        if let Some(fb) = reply.file {
+            resp.headers.set("Content-Length", fb.len.to_string());
+            if self.head_only {
+                // Header describes the file; nothing follows.
+            } else if self.streams(fb.len) {
+                file = Some(FileTx { file: fb.file, offset: 0, end: fb.len });
+            } else {
+                // Materialize (on a worker thread: `is_nonblocking` keeps
+                // this off the loop): either the platform lacks
+                // sendfile, or SEND_ZC is available and a bounded
+                // in-memory body rides the ring as one zero-copy op.
+                let mut buf = Vec::with_capacity(fb.len as usize);
+                let mut f = fb.file;
+                match Read::by_ref(&mut f).take(fb.len).read_to_end(&mut buf) {
+                    Ok(n) if n as u64 == fb.len => resp.body = buf.into(),
+                    _ => {
+                        // Short read (truncated underneath us) or I/O
+                        // error: better a clean 500 than a wrong body.
+                        resp = Response::error(StatusCode::InternalServerError);
+                        resp.headers.set("Connection", "close");
+                        keep_alive = false;
+                    }
+                }
+            }
+        }
+        let (head, body) = match self.transmit {
+            TransmitMode::ZeroCopy => resp.to_wire_parts(self.head_only),
+            TransmitMode::Copy => (resp.to_bytes(self.head_only), Bytes::new()),
+        };
+        Framed { head, body, file, keep_alive }
+    }
+}
+
+/// A deferred answer coming back from the worker pool.
+struct Completion {
+    token: usize,
+    gen: u64,
+    framed: Framed,
 }
 
 struct Loop {
@@ -955,7 +1082,7 @@ impl Loop {
     fn admit(&mut self, stream: TcpStream, peer: SocketAddr) -> io::Result<()> {
         stream.set_nonblocking(true)?;
         let _ = stream.set_nodelay(true);
-        let deadline_ms = self.now_ms() + self.cfg.read_timeout.as_millis() as u64;
+        let now = self.now_ms();
         let conn = Conn {
             stream,
             peer: peer.ip().to_string(),
@@ -968,7 +1095,7 @@ impl Loop {
             out_planned: 0,
             keep_alive: false,
             rounds: 0,
-            deadline_ms,
+            timer: Deadline::default(),
             interest: Interest::READ,
             req_started: None,
             write_started: None,
@@ -982,7 +1109,17 @@ impl Loop {
             self.conns.remove(idx);
             return Err(e);
         }
-        self.wheel.schedule(TimerEntry { token: idx, gen, deadline_ms });
+        // File the connection's one wheel entry at the parse horizon, then
+        // relax the deadline to the idle-read timeout. The parse clock
+        // (armed at the first byte, never earlier than this horizon) then
+        // needs no entry of its own, and a connection that closes quickly
+        // leaves one short-lived entry behind instead of a read-timeout
+        // one.
+        let parse_ms = now + self.parse_ms();
+        let idle_ms = now + self.cfg.read_timeout.as_millis() as u64;
+        let conn = self.conns.get_mut(idx).expect("connection inserted above");
+        self.wheel.set_deadline(&mut conn.timer, idx, gen, parse_ms);
+        self.wheel.set_deadline(&mut conn.timer, idx, gen, idle_ms);
         self.app.on_conn_open();
         Ok(())
     }
@@ -1068,16 +1205,20 @@ impl Loop {
     /// of resetting the clock with every byte.
     fn arm_parse_deadline(&mut self, idx: usize) {
         let Some(gen) = self.conns.gen_of(idx) else { return };
-        let parse_ms = (self.cfg.request_budget.as_millis() as u64 / 4)
-            .min(self.cfg.read_timeout.as_millis() as u64)
-            .max(1);
-        let deadline_ms = self.now_ms() + parse_ms;
+        let deadline_ms = self.now_ms() + self.parse_ms();
         let Some(conn) = self.conns.get_mut(idx) else { return };
-        if deadline_ms >= conn.deadline_ms {
+        if deadline_ms >= conn.timer.at_ms() {
             return; // the idle-read deadline is already at least as tight
         }
-        conn.deadline_ms = deadline_ms;
-        self.wheel.schedule(TimerEntry { token: idx, gen, deadline_ms });
+        self.wheel.set_deadline(&mut conn.timer, idx, gen, deadline_ms);
+    }
+
+    /// The parse budget: the deadline ladder's 25% cutoff, never looser
+    /// than the read timeout.
+    fn parse_ms(&self) -> u64 {
+        (self.cfg.request_budget.as_millis() as u64 / 4)
+            .min(self.cfg.read_timeout.as_millis() as u64)
+            .max(1)
     }
 
     /// Try to advance a Reading/ReadingBody connection using buffered
@@ -1148,8 +1289,14 @@ impl Loop {
             .get("connection")
             .map(|v| v.eq_ignore_ascii_case("keep-alive"))
             .unwrap_or(false);
-        let keep_alive = client_keep && conn.rounds < self.cfg.keepalive_limit;
-        let head_only = req.method == Method::Head;
+        let framing = Framing {
+            deadline,
+            keep_alive: client_keep && conn.rounds < self.cfg.keepalive_limit,
+            head_only: req.method == Method::Head,
+            transmit: self.cfg.transmit,
+            sendfile_ok: self.cfg.use_sendfile && sys::HAS_SENDFILE,
+            zc_file_ok: self.poller.supports_send_zc(),
+        };
         conn.state = ConnState::Dispatched;
         // Clamp this request's eviction to its budget: whatever else
         // happens, the connection is resolved by the budget's end.
@@ -1157,12 +1304,11 @@ impl Loop {
             Some(loop_now_ms + deadline.remaining().as_millis() as u64);
         // The head parsed: the slowloris parse deadline has done its job.
         // Push eviction back out so a slow *fulfillment* (worker queue,
-        // stalled disk) isn't evicted on the parse clock; queue_write
+        // stalled disk) isn't evicted on the parse clock; start_write
         // re-arms the write deadline when the response is ready.
         let evict_ms = loop_now_ms + self.cfg.read_timeout.as_millis() as u64;
-        if conn.deadline_ms < evict_ms {
-            conn.deadline_ms = evict_ms;
-            self.wheel.schedule(TimerEntry { token: idx, gen, deadline_ms: evict_ms });
+        if conn.timer.at_ms() < evict_ms {
+            self.wheel.set_deadline(&mut conn.timer, idx, gen, evict_ms);
         }
         self.set_interest(idx, Interest::NONE);
         self.app.on_phase(Phase::Parse, parse_us);
@@ -1171,85 +1317,38 @@ impl Loop {
             // work before paying for fulfillment.
             self.app.on_deadline_overrun();
             let resp = overloaded_response(self.app.retry_after_secs());
-            let (head, body) = resp.to_wire_parts(false);
-            self.start_write(idx, head, body, None, false);
+            self.start_write(idx, Framed::closing(resp));
             return;
         }
+        // The front half runs here, on the loop: an answer finished from
+        // memory is written at once, with no queue hop and no doorbell.
+        let Some(conn) = self.conns.get_mut(idx) else { return };
+        let work: Continuation = match self.app.respond(&conn.peer, req, body) {
+            Answer::Ready(reply) if framing.is_nonblocking(&reply) => {
+                let framed = framing.frame(&*self.app, Some(reply));
+                self.start_write(idx, framed);
+                return;
+            }
+            // A file payload that must be read into memory: frame it on
+            // a worker, like any blocking remainder.
+            Answer::Ready(reply) => Box::new(move || reply),
+            Answer::Defer(work) => work,
+        };
         // The worker may outlive this request's relevance (evicted client);
         // the generation check on completion makes that harmless.
         let app = Arc::clone(&self.app);
         let completions = Arc::clone(&self.completions);
         let wakeup = Arc::clone(&self.wakeup_tx);
-        let peer = self.conns.get_mut(idx).map(|c| c.peer.clone()).unwrap_or_default();
-        let token = idx;
-        let transmit = self.cfg.transmit;
-        let sendfile_ok = self.cfg.use_sendfile && sys::HAS_SENDFILE;
-        // When the backend can SEND_ZC, moderate files are worth
-        // materializing: the body then rides the ring as one zero-copy
-        // op instead of a per-chunk sendfile loop on the loop thread.
-        let zc_file_ok = self.poller.supports_send_zc();
         let enqueued = Instant::now();
         let job = Box::new(move || {
             // Queue wait is the admission controller's signal: the time
             // between submission and this line is pure sojourn — the
             // request did nothing but stand in line.
             app.on_queue_sojourn(enqueued.elapsed().as_micros() as u64);
-            // Budget checks bracket fulfillment: skip the work entirely if
-            // the fetch checkpoint already passed (queueing delay), and
-            // replace a too-late response with a definite 503 — under
-            // injected slow-disk both engines then fail identically.
-            let mut overrun = deadline.overrun(Phase::Fetch);
-            let reply = if overrun {
-                Reply::from(overloaded_response(app.retry_after_secs()))
-            } else {
-                let r = app.respond(&peer, &req, &body);
-                overrun = deadline.overrun(Phase::Fetch);
-                if overrun {
-                    Reply::from(overloaded_response(app.retry_after_secs()))
-                } else {
-                    r
-                }
-            };
-            if overrun {
-                app.on_deadline_overrun();
-            }
-            let mut resp = reply.response;
-            let mut keep_alive = keep_alive && !overrun;
-            if keep_alive {
-                resp.headers.set("Connection", "Keep-Alive");
-            }
-            let mut file_tx: Option<FileTx> = None;
-            if let Some(fb) = reply.file {
-                resp.headers.set("Content-Length", fb.len.to_string());
-                if head_only {
-                    // Header describes the file; nothing follows.
-                } else if sendfile_ok && !(zc_file_ok && fb.len <= ZC_FILE_MAX) {
-                    file_tx = Some(FileTx { file: fb.file, offset: 0, end: fb.len });
-                } else {
-                    // Materialize here, on the worker thread, so the
-                    // blocking read stays off the loop: either the
-                    // platform lacks sendfile, or SEND_ZC is available
-                    // and a bounded in-memory body rides the ring as
-                    // one zero-copy op instead of a sendfile loop.
-                    let mut buf = Vec::with_capacity(fb.len as usize);
-                    let mut f = fb.file;
-                    match Read::by_ref(&mut f).take(fb.len).read_to_end(&mut buf) {
-                        Ok(n) if n as u64 == fb.len => resp.body = buf.into(),
-                        _ => {
-                            // Short read (truncated underneath us) or I/O
-                            // error: better a clean 500 than a wrong body.
-                            resp = Response::error(StatusCode::InternalServerError);
-                            resp.headers.set("Connection", "close");
-                            keep_alive = false;
-                        }
-                    }
-                }
-            }
-            let (head, wire_body) = match transmit {
-                TransmitMode::ZeroCopy => resp.to_wire_parts(head_only),
-                TransmitMode::Copy => (resp.to_bytes(head_only), Bytes::new()),
-            };
-            let done = Completion { token, gen, head, body: wire_body, file: file_tx, keep_alive };
+            // Skip the work entirely if the fetch checkpoint already
+            // passed while the request queued.
+            let reply = (!framing.deadline.overrun(Phase::Fetch)).then(work);
+            let done = Completion { token: idx, gen, framed: framing.frame(&*app, reply) };
             match completions.lock() {
                 Ok(mut q) => q.push(done),
                 Err(poisoned) => poisoned.into_inner().push(done),
@@ -1261,16 +1360,13 @@ impl Loop {
             // level rather than queue unboundedly.
             self.app.on_shed();
             let resp = overloaded_response(self.app.retry_after_secs());
-            let (head, body) = resp.to_wire_parts(false);
-            self.start_write(idx, head, body, None, false);
+            self.start_write(idx, Framed::closing(resp));
         }
     }
 
     fn bad_request(&mut self, idx: usize) {
         self.app.on_bad_request();
-        let resp = Response::error(StatusCode::BadRequest);
-        let (head, body) = resp.to_wire_parts(false);
-        self.start_write(idx, head, body, None, false);
+        self.start_write(idx, Framed::closing(Response::error(StatusCode::BadRequest)));
     }
 
     fn drain_wakeup(&mut self) {
@@ -1331,18 +1427,12 @@ impl Loop {
             if !matches!(conn.state, ConnState::Dispatched) {
                 continue;
             }
-            self.start_write(c.token, c.head, c.body, c.file, c.keep_alive);
+            self.start_write(c.token, c.framed);
         }
     }
 
-    fn start_write(
-        &mut self,
-        idx: usize,
-        head: Vec<u8>,
-        body: Bytes,
-        file: Option<FileTx>,
-        keep_alive: bool,
-    ) {
+    fn start_write(&mut self, idx: usize, framed: Framed) {
+        let Framed { head, body, file, keep_alive } = framed;
         let Some(gen) = self.conns.gen_of(idx) else { return };
         let mut deadline_ms = self.now_ms() + self.cfg.write_timeout.as_millis() as u64;
         if let Some(budget) = self.conns.get_mut(idx).and_then(|c| c.budget_deadline_ms) {
@@ -1366,12 +1456,11 @@ impl Loop {
             conn.out_planned = planned;
             conn.keep_alive = keep_alive;
             conn.state = ConnState::Writing;
-            conn.deadline_ms = deadline_ms;
             conn.write_started = Some(Instant::now());
             conn.uring_write = false;
             conn.pending_read = false;
+            self.wheel.set_deadline(&mut conn.timer, idx, gen, deadline_ms);
         }
-        self.wheel.schedule(TimerEntry { token: idx, gen, deadline_ms });
 
         // Completion-based fast path: hand the whole buffered response to
         // the ring as a queued WRITEV, with the next-request read-poll
@@ -1504,8 +1593,9 @@ impl Loop {
         }
     }
 
-    /// Re-arm the write deadline after transmit progress. The old wheel
-    /// entry goes stale (deadline mismatch) and is ignored on expiry.
+    /// Re-arm the write deadline after transmit progress. The later
+    /// deadline files no wheel entry: the standing one re-files itself
+    /// when it fires early.
     fn refresh_write_deadline(&mut self, idx: usize) {
         let Some(gen) = self.conns.gen_of(idx) else { return };
         let mut deadline_ms = self.now_ms() + self.cfg.write_timeout.as_millis() as u64;
@@ -1514,11 +1604,7 @@ impl Loop {
             // Progress keeps the client alive, but never past the budget.
             deadline_ms = deadline_ms.min(budget);
         }
-        if conn.deadline_ms == deadline_ms {
-            return;
-        }
-        conn.deadline_ms = deadline_ms;
-        self.wheel.schedule(TimerEntry { token: idx, gen, deadline_ms });
+        self.wheel.set_deadline(&mut conn.timer, idx, gen, deadline_ms);
     }
 
     /// A write finished (fully, or by error). Account it, then either
@@ -1555,9 +1641,8 @@ impl Loop {
         {
             let Some(conn) = self.conns.get_mut(idx) else { return };
             conn.state = ConnState::Reading;
-            conn.deadline_ms = deadline_ms;
+            self.wheel.set_deadline(&mut conn.timer, idx, gen, deadline_ms);
         }
-        self.wheel.schedule(TimerEntry { token: idx, gen, deadline_ms });
         self.set_interest(idx, Interest::READ);
         // Pipelined bytes may already complete the next request; under a
         // queued write, a readable edge consumed mid-write (the linked
@@ -1586,8 +1671,8 @@ impl Loop {
         let Some(conn) = self.conns.get_mut_checked(e.token, e.gen) else {
             return; // stale: connection already gone or recycled
         };
-        if conn.deadline_ms != e.deadline_ms {
-            return; // stale: the deadline moved since this was scheduled
+        if !self.wheel.refire(&mut conn.timer, e) {
+            return; // superseded, or re-filed at a deadline that moved later
         }
         self.app.on_evict();
         self.close(e.token);

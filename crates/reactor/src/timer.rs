@@ -1,13 +1,16 @@
 //! A hashed timer wheel with lazy cancellation.
 //!
 //! Deadlines are bucketed into `tick_ms` slots over a fixed ring. The
-//! reactor never cancels an entry explicitly: when a connection's
-//! deadline moves (new request, write progress) it simply schedules a new
-//! entry, and expired entries are validated against the connection's
-//! *current* generation and deadline before acting. A stale entry is a
-//! few bytes of garbage that disappears when its slot next drains —
-//! exactly the trade the classic hashed-wheel design makes to keep
-//! schedule/advance O(1) amortized.
+//! reactor never cancels an entry explicitly, and it keeps at most one
+//! *live* entry per connection: a connection's [`Deadline`] records both
+//! when it must be evicted and when its standing wheel entry fires. A
+//! deadline that moves *later* (write progress, the next keep-alive
+//! request) files nothing — the standing entry fires early, sees the
+//! later deadline, and re-files itself once ([`TimerWheel::refire`]).
+//! Only a deadline that moves *earlier* than the standing entry files a
+//! new one; the superseded entry is a few bytes of garbage, recognised
+//! and dropped when its slot next drains — exactly the trade the classic
+//! hashed-wheel design makes to keep schedule/advance O(1) amortized.
 
 /// One scheduled expiry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,6 +21,29 @@ pub struct TimerEntry {
     pub gen: u64,
     /// Absolute deadline in reactor-clock milliseconds.
     pub deadline_ms: u64,
+}
+
+/// One connection's eviction clock: the deadline it must meet and the
+/// deadline of the wheel entry standing for it (never later).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Deadline {
+    /// When the connection is evicted, absolute reactor-clock ms.
+    at_ms: u64,
+    /// Deadline of the live wheel entry; `u64::MAX` before the first.
+    armed_ms: u64,
+}
+
+impl Deadline {
+    /// When the connection is evicted, absolute reactor-clock ms.
+    pub fn at_ms(&self) -> u64 {
+        self.at_ms
+    }
+}
+
+impl Default for Deadline {
+    fn default() -> Deadline {
+        Deadline { at_ms: u64::MAX, armed_ms: u64::MAX }
+    }
 }
 
 /// The wheel.
@@ -69,6 +95,33 @@ impl TimerWheel {
         let slot = (tick as usize) % self.slots.len();
         self.slots[slot].push(entry);
         self.pending += 1;
+    }
+
+    /// Move `clock` to `at_ms`. A wheel entry is filed only when `at_ms`
+    /// is earlier than the entry already standing for the connection; a
+    /// later deadline is picked up when that entry fires.
+    pub fn set_deadline(&mut self, clock: &mut Deadline, token: usize, gen: u64, at_ms: u64) {
+        clock.at_ms = at_ms;
+        if at_ms < clock.armed_ms {
+            clock.armed_ms = at_ms;
+            self.schedule(TimerEntry { token, gen, deadline_ms: at_ms });
+        }
+    }
+
+    /// An expired entry for a live connection: `true` when the
+    /// connection is due for eviction. An entry superseded by an earlier
+    /// one is ignored; the standing entry of a connection whose deadline
+    /// has since moved later re-files itself at that deadline.
+    pub fn refire(&mut self, clock: &mut Deadline, e: TimerEntry) -> bool {
+        if e.deadline_ms != clock.armed_ms {
+            return false;
+        }
+        if clock.at_ms <= e.deadline_ms {
+            return true;
+        }
+        clock.armed_ms = clock.at_ms;
+        self.schedule(TimerEntry { deadline_ms: clock.at_ms, ..e });
+        false
     }
 
     /// Advance the wheel to `now_ms`, appending every entry whose
@@ -172,6 +225,51 @@ mod tests {
         let fired = expired_at(&mut w, 61);
         assert_eq!(fired.len(), 1, "entry missed its slot: would fire a revolution late");
         assert_eq!(fired[0].token, 7);
+    }
+
+    /// Drive `clock` through the wheel until `now`: the connection's
+    /// fired-and-due entries, as the reactor's expiry pass sees them.
+    fn due_at(w: &mut TimerWheel, clock: &mut Deadline, now: u64) -> bool {
+        let mut due = false;
+        for e in expired_at(w, now) {
+            due |= w.refire(clock, e);
+        }
+        due
+    }
+
+    #[test]
+    fn later_deadline_files_no_entry_and_still_evicts_on_time() {
+        let mut w = TimerWheel::new(16, 10);
+        let mut clock = Deadline::default();
+        w.set_deadline(&mut clock, 4, 1, 100);
+        assert_eq!(w.pending(), 1);
+        // Push the deadline out twice (write progress): nothing is filed.
+        w.set_deadline(&mut clock, 4, 1, 250);
+        w.set_deadline(&mut clock, 4, 1, 400);
+        assert_eq!(w.pending(), 1, "a later deadline must not file an entry");
+        // The standing entry fires at 100, finds the deadline moved, and
+        // re-files itself once — still a single live entry.
+        assert!(!due_at(&mut w, &mut clock, 110));
+        assert_eq!(w.pending(), 1);
+        assert!(!due_at(&mut w, &mut clock, 390), "evicted before the moved deadline");
+        assert!(due_at(&mut w, &mut clock, 410), "not evicted at the moved deadline");
+        assert_eq!(w.pending(), 0);
+    }
+
+    #[test]
+    fn earlier_deadline_supersedes_the_standing_entry() {
+        let mut w = TimerWheel::new(16, 10);
+        let mut clock = Deadline::default();
+        w.set_deadline(&mut clock, 2, 0, 500);
+        w.set_deadline(&mut clock, 2, 0, 60); // parse clock: tighter
+        assert_eq!(w.pending(), 2);
+        w.set_deadline(&mut clock, 2, 0, 300); // head parsed: looser again
+        assert_eq!(w.pending(), 2);
+        assert!(!due_at(&mut w, &mut clock, 70), "the 60 ms entry re-files at 300");
+        assert!(due_at(&mut w, &mut clock, 310));
+        // The superseded 500 ms entry drains without acting.
+        w.set_deadline(&mut clock, 2, 0, 2_000);
+        assert!(!due_at(&mut w, &mut clock, 510));
     }
 
     #[test]

@@ -1,20 +1,23 @@
 //! End-to-end tests of the event loop against real sockets: serving,
-//! keep-alive, pipelining, slow-client eviction, and 503 shedding.
+//! keep-alive, pipelining, slow-client eviction, 503 shedding, and the
+//! split between answers finished on the loop and deferred ones.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use sweb_http::{Request, Response};
-use sweb_reactor::{App, FileBody, ReactorConfig, ReactorHandle, Reply};
+use sweb_reactor::{Answer, App, FileBody, ReactorConfig, ReactorHandle, Reply};
 
 /// Minimal app: answers with the request target, counts every hook.
 /// `/big` serves the configured in-memory body (the cached-file shape);
-/// `/file` serves the configured file as a streamed [`FileBody`].
+/// `/file` serves the configured file as a streamed [`FileBody`];
+/// `/block…` defers to a worker continuation that parks on [`Gate`].
+/// Everything else is answered on the loop.
 #[derive(Default)]
 struct EchoApp {
     served: AtomicUsize,
@@ -27,29 +30,67 @@ struct EchoApp {
     sendfile: AtomicUsize,
     shard_starts: AtomicUsize,
     shard_stops: AtomicUsize,
+    sojourns: AtomicUsize,
     big: Mutex<Option<Bytes>>,
     file_path: Mutex<Option<PathBuf>>,
+    gate: Arc<Gate>,
+}
+
+/// Holds deferred `/block…` continuations (and so the workers running
+/// them) until the test opens it.
+#[derive(Default)]
+struct Gate {
+    open: Mutex<bool>,
+    opened: Condvar,
+}
+
+impl Gate {
+    fn wait(&self) {
+        let mut open = self.open.lock().unwrap();
+        while !*open {
+            open = self.opened.wait(open).unwrap();
+        }
+    }
+
+    fn open(&self) {
+        *self.open.lock().unwrap() = true;
+        self.opened.notify_all();
+    }
+}
+
+fn echo(req: &Request, body: &[u8]) -> Reply {
+    Response::ok(format!("target={} body={}", req.target, body.len()), "text/plain").into()
 }
 
 impl App for EchoApp {
-    fn respond(&self, _peer: &str, req: &Request, body: &[u8]) -> Reply {
+    fn respond(&self, _peer: &str, req: Request, body: Vec<u8>) -> Answer {
         self.served.fetch_add(1, Ordering::SeqCst);
+        if req.target.starts_with("/block") {
+            let gate = Arc::clone(&self.gate);
+            return Answer::Defer(Box::new(move || {
+                gate.wait();
+                echo(&req, &body)
+            }));
+        }
         if req.target == "/big" {
             if let Some(b) = self.big.lock().unwrap().clone() {
-                return Response::ok(b, "application/octet-stream").into();
+                return Answer::Ready(Response::ok(b, "application/octet-stream").into());
             }
         }
         if req.target == "/file" {
             if let Some(p) = self.file_path.lock().unwrap().clone() {
                 let file = std::fs::File::open(&p).unwrap();
                 let len = file.metadata().unwrap().len();
-                return Reply {
+                return Answer::Ready(Reply {
                     response: Response::ok("", "application/octet-stream"),
                     file: Some(FileBody { file, len }),
-                };
+                });
             }
         }
-        Response::ok(format!("target={} body={}", req.target, body.len()), "text/plain").into()
+        Answer::Ready(echo(&req, &body))
+    }
+    fn on_queue_sojourn(&self, _micros: u64) {
+        self.sojourns.fetch_add(1, Ordering::SeqCst);
     }
     fn on_conn_open(&self) {
         self.open.fetch_add(1, Ordering::SeqCst);
@@ -222,6 +263,111 @@ fn slow_client_is_evicted_without_stalling_others() {
     // The slow client never completed a request, so nothing was served
     // on its behalf.
     assert_eq!(srv.app.bad.load(Ordering::SeqCst), 0);
+}
+
+/// Read from `s` until `needle` shows up (the connection stays open).
+fn read_until(s: &mut TcpStream, needle: &str) -> String {
+    let mut out = Vec::new();
+    let mut buf = [0u8; 1024];
+    while !String::from_utf8_lossy(&out).contains(needle) {
+        let n = s.read(&mut buf).unwrap();
+        assert!(n > 0, "EOF before {needle:?}: {}", String::from_utf8_lossy(&out));
+        out.extend_from_slice(&buf[..n]);
+    }
+    String::from_utf8(out).unwrap()
+}
+
+/// With the only worker parked on a deferred continuation (and a second
+/// one queued behind it), answers finished on the loop keep flowing;
+/// opening the gate then delivers each continuation's result to its own
+/// connection. Only the deferred answers report queue sojourn.
+#[test]
+fn ready_answers_bypass_a_blocked_worker_pool() {
+    let cfg = ReactorConfig { workers: 1, worker_queue: 4, ..ReactorConfig::default() };
+    let srv = TestServer::start(cfg);
+    let mut parked: Vec<TcpStream> = (0..2)
+        .map(|i| {
+            let mut s = srv.connect();
+            s.write_all(format!("GET /block{i} HTTP/1.0\r\n\r\n").as_bytes()).unwrap();
+            s
+        })
+        .collect();
+    assert!(wait_until(Duration::from_secs(2), || srv.app.served.load(Ordering::SeqCst) >= 2));
+
+    for _ in 0..5 {
+        let reply = srv.exchange(b"GET /ready HTTP/1.0\r\n\r\n");
+        assert!(reply.starts_with("HTTP/1.0 200"), "ready answer stuck: {reply}");
+        assert!(reply.contains("target=/ready"), "{reply}");
+    }
+
+    srv.app.gate.open();
+    for (i, s) in parked.iter_mut().enumerate() {
+        let mut out = String::new();
+        let _ = s.read_to_string(&mut out);
+        assert!(out.starts_with("HTTP/1.0 200"), "{out}");
+        assert!(out.contains(&format!("target=/block{i} ")), "result crossed connections: {out}");
+    }
+    assert_eq!(srv.app.sojourns.load(Ordering::SeqCst), 2);
+}
+
+/// A continuation whose connection died while it was parked is dropped
+/// when it completes: the generation check keeps its result off the
+/// connection that took over the slot, which gets its own answer.
+#[test]
+fn deferred_result_for_a_dead_connection_is_dropped() {
+    let cfg = ReactorConfig {
+        workers: 1,
+        read_timeout: Duration::from_millis(200),
+        timer_tick_ms: 10,
+        ..ReactorConfig::default()
+    };
+    let srv = TestServer::start(cfg);
+    let mut doomed = srv.connect();
+    doomed.write_all(b"GET /block-doomed HTTP/1.0\r\n\r\n").unwrap();
+    // Parked past its dispatch deadline, the connection is evicted.
+    assert!(wait_until(Duration::from_secs(2), || srv.app.evicted.load(Ordering::SeqCst) >= 1));
+
+    let mut next = srv.connect();
+    next.write_all(b"GET /block-next HTTP/1.0\r\n\r\n").unwrap();
+    assert!(wait_until(Duration::from_secs(2), || srv.app.served.load(Ordering::SeqCst) >= 2));
+    srv.app.gate.open();
+
+    let mut out = String::new();
+    let _ = next.read_to_string(&mut out);
+    assert!(out.starts_with("HTTP/1.0 200"), "{out}");
+    assert!(out.contains("target=/block-next"), "{out}");
+    assert!(!out.contains("doomed"), "a dead connection's result was delivered: {out}");
+    let mut buf = [0u8; 64];
+    assert_eq!(doomed.read(&mut buf).unwrap_or(0), 0, "the evicted client got bytes");
+    assert_eq!(srv.app.sojourns.load(Ordering::SeqCst), 2);
+}
+
+/// Serving a keep-alive request moves the connection's deadline later
+/// (dispatch, write, next read) without filing wheel entries; the idle
+/// connection is still evicted — at the moved deadline, not the first.
+#[test]
+fn keepalive_idle_eviction_follows_the_moved_deadline() {
+    let cfg = ReactorConfig {
+        read_timeout: Duration::from_millis(400),
+        timer_tick_ms: 10,
+        ..ReactorConfig::default()
+    };
+    let srv = TestServer::start(cfg);
+    let t0 = Instant::now();
+    let mut s = srv.connect();
+    std::thread::sleep(Duration::from_millis(250));
+    s.write_all(b"GET /a HTTP/1.0\r\nConnection: Keep-Alive\r\n\r\n").unwrap();
+    read_until(&mut s, "target=/a");
+    // Past the admit deadline (t0 + 400 ms), short of the idle deadline
+    // the served request moved it to (at least t0 + 650 ms).
+    std::thread::sleep(Duration::from_millis(450).saturating_sub(t0.elapsed()));
+    assert_eq!(srv.app.evicted.load(Ordering::SeqCst), 0, "evicted on the stale deadline");
+    assert!(
+        wait_until(Duration::from_secs(2), || srv.app.evicted.load(Ordering::SeqCst) >= 1),
+        "idle keep-alive connection never evicted"
+    );
+    let mut buf = [0u8; 64];
+    assert_eq!(s.read(&mut buf).unwrap_or(0), 0, "expected EOF on the evicted connection");
 }
 
 #[test]

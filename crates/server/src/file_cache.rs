@@ -215,37 +215,65 @@ impl FileCache {
     /// cached copy's mtime still matches, from disk otherwise. Returns the
     /// body and the file's mtime.
     pub fn read(&self, path: &str, full: &Path) -> std::io::Result<(Bytes, SystemTime)> {
-        self.read_keyed(key_of(path), path, full)
+        let mtime = std::fs::metadata(full)?.modified()?;
+        Ok((self.read_keyed(key_of(path), path, full, mtime)?, mtime))
     }
 
-    /// [`FileCache::read`] with an explicit key — separated so tests can
-    /// force two paths onto one `FileId` (a 64-bit FNV collision is
-    /// otherwise impractical to construct).
+    /// [`FileCache::read`] for a caller that has already stat-ed the file:
+    /// the cached copy is validated against `mtime` instead of a second
+    /// stat.
+    pub(crate) fn read_validated(
+        &self,
+        path: &str,
+        full: &Path,
+        mtime: SystemTime,
+    ) -> std::io::Result<Bytes> {
+        self.read_keyed(key_of(path), path, full, mtime)
+    }
+
+    /// A resident body still valid for `mtime`, from memory only: no
+    /// stat, no disk fallback. A hit counts (and touches the LRU) like any
+    /// other; a miss counts nothing — the caller's fallback
+    /// ([`FileCache::read_validated`]) counts it.
+    pub(crate) fn hit(&self, path: &str, mtime: SystemTime) -> Option<Bytes> {
+        self.hit_keyed(key_of(path), path, mtime)
+    }
+
+    fn hit_keyed(&self, key: FileId, path: &str, mtime: SystemTime) -> Option<Bytes> {
+        let seg = self.segment_of(key);
+        let mut inner = seg.inner.lock();
+        let body = {
+            let entry = inner.bodies.get(&key)?;
+            if entry.path != path || entry.mtime != mtime {
+                return None;
+            }
+            entry.body.clone()
+        };
+        if !inner.lru.contains(key) {
+            return None;
+        }
+        inner.lru.access(key, body.len() as u64); // LRU touch
+        seg.hits.fetch_add(1, Ordering::Relaxed);
+        Some(body)
+    }
+
+    /// [`FileCache::read_validated`] with an explicit key — separated so
+    /// tests can force two paths onto one `FileId` (a 64-bit FNV
+    /// collision is otherwise impractical to construct).
     pub(crate) fn read_keyed(
         &self,
         key: FileId,
         path: &str,
         full: &Path,
-    ) -> std::io::Result<(Bytes, SystemTime)> {
-        let seg = self.segment_of(key);
-        let mtime = std::fs::metadata(full)?.modified()?;
-        let mut collided = false;
-        {
-            let mut inner = seg.inner.lock();
-            if let Some(entry) = inner.bodies.get(&key) {
-                if entry.path != path {
-                    // Hash collision: this slot holds a different
-                    // document. Serving entry.body would be a wrong
-                    // response; fall through to a disk read.
-                    collided = true;
-                } else if entry.mtime == mtime && inner.lru.contains(key) {
-                    let body = entry.body.clone();
-                    inner.lru.access(key, body.len() as u64); // LRU touch
-                    seg.hits.fetch_add(1, Ordering::Relaxed);
-                    return Ok((body, mtime));
-                }
-            }
+        mtime: SystemTime,
+    ) -> std::io::Result<Bytes> {
+        if let Some(body) = self.hit_keyed(key, path, mtime) {
+            return Ok(body);
         }
+        let seg = self.segment_of(key);
+        // A slot holding a different document is a hash collision:
+        // serving its body would be a wrong response; read the disk.
+        let collided = seg.inner.lock().bodies.get(&key).is_some_and(|e| e.path != path);
         // Miss, stale, or collision: read outside the lock (large files,
         // slow disks).
         seg.misses.fetch_add(1, Ordering::Relaxed);
@@ -255,7 +283,7 @@ impl FileCache {
             // over one slot would just thrash it. The loser of the slot is
             // served from disk, correctly, every time.
             seg.collisions.fetch_add(1, Ordering::Relaxed);
-            return Ok((body, mtime));
+            return Ok(body);
         }
         let mut inner = seg.inner.lock();
         inner.lru.invalidate(key);
@@ -274,7 +302,7 @@ impl FileCache {
         if dropped > 0 {
             seg.evictions.fetch_add(dropped as u64, Ordering::Relaxed);
         }
-        Ok((body, mtime))
+        Ok(body)
     }
 }
 
@@ -347,10 +375,30 @@ impl std::fmt::Debug for FileCache {
 mod tests {
     use super::*;
 
+    /// [`FileCache::read_keyed`] after a stat, as [`FileCache::read`] does.
+    fn read_at(cache: &FileCache, key: FileId, path: &str, full: &Path) -> Bytes {
+        let mtime = std::fs::metadata(full).unwrap().modified().unwrap();
+        cache.read_keyed(key, path, full, mtime).unwrap()
+    }
+
     fn tmpfile(tag: &str, contents: &[u8]) -> std::path::PathBuf {
         let p = std::env::temp_dir().join(format!("sweb-fc-{tag}-{}", std::process::id()));
         std::fs::write(&p, contents).unwrap();
         p
+    }
+
+    #[test]
+    fn hit_answers_from_memory_and_counts_only_hits() {
+        let f = tmpfile("memhit", b"resident");
+        let cache = FileCache::new(1 << 20);
+        let mtime = std::fs::metadata(&f).unwrap().modified().unwrap();
+        assert_eq!(cache.hit("/memhit", mtime), None, "nothing resident yet");
+        cache.read_validated("/memhit", &f, mtime).unwrap();
+        assert_eq!(cache.hit("/memhit", mtime).as_deref(), Some(&b"resident"[..]));
+        let edited = mtime + std::time::Duration::from_secs(1);
+        assert_eq!(cache.hit("/memhit", edited), None, "a changed mtime must not hit");
+        assert_eq!((cache.hits(), cache.misses()), (1, 1));
+        let _ = std::fs::remove_file(&f);
     }
 
     #[test]
@@ -431,18 +479,18 @@ mod tests {
         let fb = tmpfile("col-b", b"BETA IS DIFFERENT");
         let cache = FileCache::new(1 << 20);
         let key = FileId(0xdead_beef);
-        let (a, _) = cache.read_keyed(key, "/alpha", &fa).unwrap();
+        let a = read_at(&cache, key, "/alpha", &fa);
         assert_eq!(&a[..], b"contents of alpha");
         // Same key, different path: must come back with /beta's bytes.
-        let (b, _) = cache.read_keyed(key, "/beta", &fb).unwrap();
+        let b = read_at(&cache, key, "/beta", &fb);
         assert_eq!(&b[..], b"BETA IS DIFFERENT", "collision served the wrong body");
         assert_eq!(cache.collisions(), 1);
         // The resident entry survives and still serves /alpha correctly.
-        let (a2, _) = cache.read_keyed(key, "/alpha", &fa).unwrap();
+        let a2 = read_at(&cache, key, "/alpha", &fa);
         assert_eq!(&a2[..], b"contents of alpha");
         assert_eq!(cache.hits(), 1);
         // Repeated /beta reads stay correct (and stay collisions).
-        let (b2, _) = cache.read_keyed(key, "/beta", &fb).unwrap();
+        let b2 = read_at(&cache, key, "/beta", &fb);
         assert_eq!(&b2[..], b"BETA IS DIFFERENT");
         assert_eq!(cache.collisions(), 2);
         let _ = std::fs::remove_file(&fa);
@@ -568,7 +616,7 @@ mod tests {
                             } else {
                                 ("/col-b", &col_b, b"beta-beta-beta-bb")
                             };
-                        let (got, _) = cache.read_keyed(col_key, cp, cf).unwrap();
+                        let got = read_at(&cache, col_key, cp, cf);
                         assert_eq!(&got[..], cw, "collision served the wrong body for {cp}");
                         // Segment shares are a hard bound at all times.
                         for (i, s) in cache.segment_stats().iter().enumerate() {

@@ -2,11 +2,13 @@
 
 use std::io::{Read, Write};
 use std::net::TcpStream;
+use std::path::PathBuf;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::{Duration, Instant, SystemTime};
 
-use sweb_cluster::{NodeId, Placement};
-use sweb_core::{AdmitClass, RequestClass, RequestInfo};
+use bytes::Bytes;
+use sweb_cluster::{FileId, NodeId, Placement};
+use sweb_core::{AdmitClass, Decision, RequestClass, RequestInfo};
 use sweb_http::{
     mime_for_path, parse_request, Method, ParseError, Request, Response, StatusCode,
 };
@@ -256,14 +258,18 @@ pub(crate) fn overloaded(shared: &NodeShared) -> Response {
 
 /// §3.2 steps 1–4 over a real request, materialized: any streamable file
 /// body is read into memory. The thread-per-conn engine (whose write path
-/// is a single contiguous buffer) funnels requests through here.
+/// is a single contiguous buffer) funnels requests through here, running
+/// the front half and the blocking remainder back to back.
 pub(crate) fn respond(
     shared: &NodeShared,
     req: &Request,
     body: &[u8],
     deadline: Option<&RequestDeadline>,
 ) -> Response {
-    let (mut resp, file) = respond_parts_deadlined(shared, req, body, deadline);
+    let (mut resp, file) = match respond_front(shared, req, body, deadline) {
+        Front::Done(parts) => parts,
+        Front::Blocked(rest) => rest.run(shared, req, body, deadline),
+    };
     if let Some((mut f, len)) = file {
         let mut buf = Vec::with_capacity(len as usize);
         match Read::by_ref(&mut f).take(len).read_to_end(&mut buf) {
@@ -274,73 +280,203 @@ pub(crate) fn respond(
     resp
 }
 
-/// §3.2 steps 1–4 over a real request, zero-copy form: large uncacheable
-/// documents come back as `(head-only response, Some((open fd, length)))`
-/// for the caller to stream (`sendfile`), everything else inline. The
-/// reactor engine consumes this shape directly.
+/// One answer: the response, plus — for large uncacheable documents — the
+/// open file to stream (`sendfile`) as its body, with its length.
+pub(crate) type Parts = (Response, Option<(std::fs::File, u64)>);
+
+/// How far [`respond_front`] got.
+pub(crate) enum Front {
+    /// Answered without blocking.
+    Done(Parts),
+    /// The next step may block: finish with [`Remainder::run`], on a
+    /// thread that may block.
+    Blocked(Remainder),
+}
+
+/// The blocking remainder of one request's pipeline. It carries every
+/// decision the front half took — admission, the scheduler's choice, a
+/// response-cache miss — so running it never takes one twice (a second
+/// `Broker::choose` would double the load bump and the feedback sample).
+pub(crate) struct Remainder {
+    trace: String,
+    stage: Stage,
+}
+
+impl Remainder {
+    /// Finish the pipeline, blocking where it must.
+    pub(crate) fn run(
+        self,
+        shared: &NodeShared,
+        req: &Request,
+        body: &[u8],
+        deadline: Option<&RequestDeadline>,
+    ) -> Parts {
+        let parts = match advance(shared, req, body, &self.trace, deadline, self.stage, true) {
+            Ok(parts) | Err(Stop::Answered(parts)) => parts,
+            Err(Stop::Blocked(_)) => unreachable!("a pass that may block never stops short"),
+        };
+        stamp_trace(parts, self.trace)
+    }
+}
+
+/// Where a deferred pipeline resumes.
+enum Stage {
+    /// Nothing decided yet: the whole pipeline runs on the worker.
+    Start,
+    /// Admitted, but the document is not resident: its existence stat and
+    /// everything after it.
+    Resolve(Admitted),
+    /// Scheduled: the peer pull or local fulfillment.
+    Fetch(Scheduled),
+}
+
+/// Why [`advance`] stopped before producing the answer itself.
+enum Stop {
+    /// An early answer (4xx, 5xx, 304, 302).
+    Answered(Parts),
+    /// The next step may block; resume here.
+    Blocked(Box<Stage>),
+}
+
+fn answered(resp: Response) -> Stop {
+    Stop::Answered((resp, None))
+}
+
+/// A request past admission.
+struct Admitted {
+    path: String,
+    is_dynamic: bool,
+    /// The one residency probe: it picks the admission class, decides
+    /// whether the loop may stat the document, and feeds the scheduler's
+    /// `cached_at_origin`.
+    resident: bool,
+}
+
+/// A request the scheduler kept (or pulls from a peer): what the fetch
+/// needs.
+struct Scheduled {
+    path: String,
+    size: u64,
+    file: FileId,
+    redirected: bool,
+    decision: Decision,
+    target: Target,
+}
+
+enum Target {
+    /// A document, with the mtime its existence stat read — the file
+    /// cache validates against it instead of stat-ing again.
+    Document { full: PathBuf, mtime: SystemTime },
+    /// A dynamic handler class, and its response-cache probe.
+    Handler { class: &'static str, probe: CacheProbe },
+}
+
+/// A dynamic request's response-cache lookup, made at most once so the
+/// cache's hit/miss counters see each request once.
+#[derive(Default)]
+enum CacheProbe {
+    #[default]
+    NotYet,
+    /// Looked up under this key (`None`: the handler doesn't cache) and
+    /// missed.
+    Missed(Option<String>),
+}
+
+/// The front half of §3.2 steps 1–4, for the reactor's loop thread: it
+/// answers from memory — resident documents (200, 304, HEAD), dynamic
+/// response-cache hits, redirects, early 4xx/5xx — and stops before the
+/// first step that may block: a stat of a document the file cache does
+/// not hold, a disk read, a peer pull, a handler invocation, an injected
+/// stall. Its only system call is the stat that validates a resident
+/// document's mtime.
 ///
 /// Every response carries an `X-SWEB-Trace` header: the id the request
 /// arrived with (carried through a 302 hop as a `sweb-trace` query
 /// parameter) or a freshly minted one, so one logical request is joinable
 /// across nodes in the access logs.
-pub(crate) fn respond_parts(
-    shared: &NodeShared,
-    req: &Request,
-    body: &[u8],
-) -> (Response, Option<(std::fs::File, u64)>) {
-    respond_parts_deadlined(shared, req, body, None)
-}
-
-/// [`respond_parts`] with an optional per-request deadline. Phase budgets
-/// are checked before scheduling and after fulfillment; an overrun yields
-/// the [`overloaded`] refusal instead of the (possibly half-built) answer.
-pub(crate) fn respond_parts_deadlined(
+pub(crate) fn respond_front(
     shared: &NodeShared,
     req: &Request,
     body: &[u8],
     deadline: Option<&RequestDeadline>,
-) -> (Response, Option<(std::fs::File, u64)>) {
+) -> Front {
     let trace = sweb_http::trace_of(&req.target)
         .map(str::to_owned)
         .unwrap_or_else(|| shared.stats.new_trace_id(shared.id));
-    let (mut resp, file) = respond_routed(shared, req, body, &trace, deadline);
-    resp.headers.set("X-SWEB-Trace", trace);
-    (resp, file)
+    match advance(shared, req, body, &trace, deadline, Stage::Start, false) {
+        Ok(parts) | Err(Stop::Answered(parts)) => Front::Done(stamp_trace(parts, trace)),
+        Err(Stop::Blocked(stage)) => Front::Blocked(Remainder { trace, stage: *stage }),
+    }
 }
 
-/// The routed pipeline behind [`respond_parts`]: preprocess, analyze,
+fn stamp_trace(mut parts: Parts, trace: String) -> Parts {
+    parts.0.headers.set("X-SWEB-Trace", trace);
+    parts
+}
+
+/// The routed pipeline from `stage` on: preprocess, admit, analyze,
 /// schedule, and either redirect (carrying `trace` in the Location URL)
-/// or fulfill locally.
-fn respond_routed(
+/// or fulfill locally. Unless `may_block`, it stops at the first step
+/// that may block and returns the stage to resume at. Phase budgets are
+/// checked after scheduling and after fulfillment; an overrun yields the
+/// [`overloaded`] refusal instead of the (possibly half-built) answer.
+fn advance(
     shared: &NodeShared,
     req: &Request,
     body: &[u8],
     trace: &str,
     deadline: Option<&RequestDeadline>,
-) -> (Response, Option<(std::fs::File, u64)>) {
-    // Step 1: preprocess — method check, path completion, existence.
+    stage: Stage,
+    may_block: bool,
+) -> Result<Parts, Stop> {
+    let sched = match stage {
+        Stage::Start => {
+            let admitted = admit(shared, req, may_block)?;
+            schedule(shared, req, trace, deadline, admitted, may_block)?
+        }
+        Stage::Resolve(admitted) => schedule(shared, req, trace, deadline, admitted, may_block)?,
+        Stage::Fetch(sched) => sched,
+    };
+    fetch(shared, req, body, trace, deadline, sched, may_block)
+}
+
+/// Step 1, preprocess (method check, path completion), and admission.
+fn admit(shared: &NodeShared, req: &Request, may_block: bool) -> Result<Admitted, Stop> {
     if !req.method.is_supported() {
-        return (Response::error(StatusCode::NotImplemented), None);
+        return Err(answered(Response::error(StatusCode::NotImplemented)));
     }
     let Some(path) = req.path() else {
-        return (Response::error(StatusCode::Forbidden), None); // traversal attempt
+        return Err(answered(Response::error(StatusCode::Forbidden))); // traversal attempt
     };
+    let admin = path == crate::status::STATUS_PATH || path == crate::status::METRICS_PATH;
+    // The loop leaves to the worker path, undecided: the admin pages
+    // (rendering is not a lookup); every request while the admission
+    // controller sheds, since its recovery feeds on the queue sojourn of
+    // requests it sees; and every request while an injected fault slows
+    // the whole node (brownout, overload), which applies on that path.
+    if !may_block
+        && (admin
+            || (shared.overload_control && shared.admission.level() > 0)
+            || shared.chaos.slows_every_request(shared.id.0))
+    {
+        return Err(Stop::Blocked(Box::new(Stage::Start)));
+    }
     // Administrative endpoints: always answered by the node they reached.
     if path == crate::status::STATUS_PATH {
-        return (crate::status::render(shared, req.query()), None);
+        return Err(answered(crate::status::render(shared, req.query())));
     }
     if path == crate::status::METRICS_PATH {
-        return (crate::status::render_metrics(shared), None);
+        return Err(answered(crate::status::render_metrics(shared)));
     }
     let is_dynamic = req.is_cgi();
     if req.method == Method::Post && !is_dynamic {
         // POST targets programs, not documents.
-        return (Response::error(StatusCode::MethodNotAllowed), None);
+        return Err(answered(Response::error(StatusCode::MethodNotAllowed)));
     }
-    let rel = path.trim_start_matches('/');
-    if rel.is_empty() {
-        return (Response::error(StatusCode::NotFound), None);
+    if path.trim_start_matches('/').is_empty() {
+        return Err(answered(Response::error(StatusCode::NotFound)));
     }
+    let resident = !is_dynamic && shared.file_cache.resident(&path);
     // Adaptive admission (both engines funnel through here): classify the
     // request by what it would cost us and shed the expensive classes
     // first as the controller's level rises. Admin endpoints never reach
@@ -348,7 +484,7 @@ fn respond_routed(
     if shared.overload_control {
         let class = if is_dynamic {
             AdmitClass::Dynamic
-        } else if shared.file_cache.resident(&path) {
+        } else if resident {
             AdmitClass::StaticHit
         } else {
             AdmitClass::StaticMiss
@@ -357,54 +493,76 @@ fn respond_routed(
             shared.admission.shed();
             shared.stats.shed.inc();
             shared.stats.admission_shed_counter(class).inc();
-            return (overloaded(shared), None);
+            return Err(answered(overloaded(shared)));
         }
+    }
+    Ok(Admitted { path, is_dynamic, resident })
+}
+
+/// Existence, conditional GET, step 2 (analyze) and the scheduling
+/// decision, which a redirect (step 3) answers directly.
+fn schedule(
+    shared: &NodeShared,
+    req: &Request,
+    trace: &str,
+    deadline: Option<&RequestDeadline>,
+    admitted: Admitted,
+    may_block: bool,
+) -> Result<Scheduled, Stop> {
+    let Admitted { path, is_dynamic, resident } = admitted;
+    // The loop stats only documents the cache holds: that stat validates
+    // the cached copy, and the rest of a hit is memory work.
+    if !may_block && !is_dynamic && !resident {
+        let admitted = Admitted { path, is_dynamic, resident };
+        return Err(Stop::Blocked(Box::new(Stage::Resolve(admitted))));
     }
     // Existence + size: a filesystem stat for documents, a registry lookup
     // (with the handler's own size hint) for dynamic requests. The
     // handler class rides into the scheduler so the oracle prices the
     // class, not just "CGI".
-    let (full, size, class) = if is_dynamic {
+    let (size, target) = if is_dynamic {
         match shared.dynamic.registry().lookup(&path) {
-            Some(handler) => (shared.docroot.clone(), handler.size_hint(), Some(handler.class())),
+            Some(handler) => (
+                handler.size_hint(),
+                Target::Handler { class: handler.class(), probe: CacheProbe::NotYet },
+            ),
             None => {
                 shared.stats.served.inc();
-                return (Response::error(StatusCode::NotFound), None);
+                return Err(answered(Response::error(StatusCode::NotFound)));
             }
         }
     } else {
-        let full = shared.docroot.join(rel);
+        let full = shared.docroot.join(path.trim_start_matches('/'));
         let Ok(meta) = std::fs::metadata(&full) else {
             shared.stats.served.inc();
-            return (Response::error(StatusCode::NotFound), None);
+            return Err(answered(Response::error(StatusCode::NotFound)));
         };
         if !meta.is_file() {
-            return (Response::error(StatusCode::Forbidden), None);
+            return Err(answered(Response::error(StatusCode::Forbidden)));
         }
+        // Without an mtime no cached copy can be validated.
+        let Ok(mtime) = meta.modified() else {
+            return Err(answered(Response::error(StatusCode::InternalServerError)));
+        };
         // Conditional GET: a fresh client copy costs us only the stat —
         // answer 304 here, before any scheduling.
-        let mtime = meta
-            .modified()
-            .ok()
-            .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-            .map(|d| d.as_secs());
-        if let (Some(mtime), Some(ims)) = (
-            mtime,
+        if let (Some(secs), Some(ims)) = (
+            unix_secs(mtime),
             req.headers.get("if-modified-since").and_then(sweb_http::parse_http_date),
         ) {
-            if mtime <= ims {
+            if secs <= ims {
                 shared.stats.served.inc();
                 let mut resp = Response {
                     status: StatusCode::NotModified,
                     headers: Default::default(),
                     body: Default::default(),
                 };
-                resp.headers.set("Last-Modified", sweb_http::format_http_date(mtime));
+                resp.headers.set("Last-Modified", sweb_http::format_http_date(secs));
                 resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-                return (resp, None);
+                return Err(answered(resp));
             }
         }
-        (full, meta.len(), None)
+        (meta.len(), Target::Document { full, mtime })
     };
 
     // Step 2: analyze — build the scheduler's view of the request.
@@ -413,6 +571,10 @@ fn respond_routed(
     if redirected {
         shared.stats.received_redirects.inc();
     }
+    let class = match &target {
+        Target::Handler { class, .. } => Some(*class),
+        Target::Document { .. } => None,
+    };
     let file = crate::file_cache::key_of(&path);
     let info = RequestInfo {
         // Real identity: the same FileId the cache digests advertise, so
@@ -432,20 +594,16 @@ fn respond_routed(
         pinned_local: !req.method.is_redirectable(),
         // Residency feeds both the cache-aware cost terms and the
         // peer-transfer pull gate (a resident document is never pulled).
-        cached_at_origin: !is_dynamic
-            && (shared.sweb.cache_aware_cost || shared.sweb.peer_transfer)
-            && shared.file_cache.resident(&path),
+        cached_at_origin: resident && (shared.sweb.cache_aware_cost || shared.sweb.peer_transfer),
         class: class.map_or(RequestClass::Static, RequestClass::Dynamic),
     };
     let decide_started = Instant::now();
-    // Refresh our own entry so local load is never stale.
-    {
-        let mut loads = shared.loads.write();
-        let now = shared.now();
-        loads.update(shared.id, crate::loadd::sample_load(shared), now);
-    }
+    // Refresh our own entry so local load is never stale, and decide,
+    // under one hold of the load-table lock.
+    let load = crate::loadd::sample_load(shared);
     let decision = {
         let mut loads = shared.loads.write();
+        loads.update(shared.id, load, shared.now());
         shared.broker.choose(&info, shared.id, &shared.cluster, &mut loads)
     };
     shared.stats.phases.record(Phase::Decide, decide_started.elapsed().as_micros() as u64);
@@ -454,20 +612,37 @@ fn respond_routed(
     // clients do not forward response headers across a 302.
     if let Some(target) = decision.redirect_target() {
         shared.stats.redirected.inc();
-        let base = &shared.peer_http[target.index()];
-        let marked = sweb_http::mark_trace(&req.target, trace);
-        let mut resp = Response::redirect_to_peer(base, &marked);
-        resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-        return (resp, None);
+        return Err(answered(redirect(shared, target, req, trace)));
     }
 
     // A request that used most of its budget before fetching even starts
     // will not finish in time — refuse now, before paying for the I/O.
     if deadline.is_some_and(|d| d.overrun(Phase::Decide)) {
         shared.stats.deadline_overruns.inc();
-        return (overloaded(shared), None);
+        return Err(answered(overloaded(shared)));
     }
+    Ok(Scheduled { path, size, file, redirected, decision, target })
+}
 
+/// A 302 to `target`'s copy of the request, the trace id riding along.
+fn redirect(shared: &NodeShared, target: NodeId, req: &Request, trace: &str) -> Response {
+    let base = &shared.peer_http[target.index()];
+    let marked = sweb_http::mark_trace(&req.target, trace);
+    let mut resp = Response::redirect_to_peer(base, &marked);
+    resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
+    resp
+}
+
+/// Step 3½ (peer pull) and step 4 (local fulfillment).
+fn fetch(
+    shared: &NodeShared,
+    req: &Request,
+    body: &[u8],
+    trace: &str,
+    deadline: Option<&RequestDeadline>,
+    mut sched: Scheduled,
+    may_block: bool,
+) -> Result<Parts, Stop> {
     // Step 3½: peer pull — the comparison picked a peer that holds the
     // document in RAM, close enough to a tie that bouncing the client
     // (302) would cost more than it saves. Pull the body over the
@@ -477,36 +652,34 @@ fn respond_routed(
     // plain local hits. Dynamic requests never forward — the broker
     // doesn't propose it, and a Bloom false positive on a handler path
     // must not turn into a FETCH for a file that isn't one.
-    if let (Some(source), false) = (decision.peer_source(), is_dynamic) {
+    if let (Some(source), Target::Document { .. }) = (sched.decision.peer_source(), &sched.target)
+    {
+        if !may_block {
+            return Err(Stop::Blocked(Box::new(Stage::Fetch(sched))));
+        }
+        let path = &sched.path;
         let budget = deadline
             .map(|d| d.remaining())
             .filter(|d| !d.is_zero())
             .unwrap_or(FORWARD_BUDGET)
             .min(FORWARD_BUDGET);
         let forward_started = Instant::now();
-        match crate::peer_transfer::fetch_via_peer(shared, source, info.file, &path, trace, budget)
+        match crate::peer_transfer::fetch_via_peer(shared, source, sched.file, path, trace, budget)
         {
             Ok(doc) => {
                 let forward_us = forward_started.elapsed().as_micros() as u64;
                 shared.stats.phases.record(Phase::Forward, forward_us);
                 shared.stats.peer_fetches.inc();
-                shared.popularity.record(info.file, &path);
+                shared.popularity.record(sched.file, path);
                 let body = bytes::Bytes::from(doc.body);
-                shared.file_cache.insert(&path, body.clone(), doc.mtime);
-                let cost = decision.cost;
+                shared.file_cache.insert(path, body.clone(), doc.mtime);
+                let cost = sched.decision.cost;
                 shared.stats.feedback.record(cost.t_redirection, cost.t_data, cost.t_cpu, forward_us);
                 if deadline.is_some_and(|d| d.overrun(Phase::Forward)) {
                     shared.stats.deadline_overruns.inc();
-                    return (overloaded(shared), None);
+                    return Ok((overloaded(shared), None));
                 }
-                shared.stats.served.inc();
-                let mut resp = Response::ok(body, mime_for_path(&path));
-                if let Ok(secs) = doc.mtime.duration_since(std::time::UNIX_EPOCH) {
-                    resp.headers
-                        .set("Last-Modified", sweb_http::format_http_date(secs.as_secs()));
-                }
-                resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-                return (resp, None);
+                return Ok((document(shared, path, body, doc.mtime), None));
             }
             Err(_) => {
                 // Degrade, never hang: bounce the client to the source
@@ -515,13 +688,9 @@ fn respond_routed(
                 // fall through and serve from the shared docroot.
                 shared.stats.forward_failures.inc();
                 let source_up = shared.loads.read().is_alive(source);
-                if !redirected && source_up {
+                if !sched.redirected && source_up {
                     shared.stats.redirected.inc();
-                    let base = &shared.peer_http[source.index()];
-                    let marked = sweb_http::mark_trace(&req.target, trace);
-                    let mut resp = Response::redirect_to_peer(base, &marked);
-                    resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-                    return (resp, None);
+                    return Ok((redirect(shared, source, req, trace), None));
                 }
             }
         }
@@ -531,21 +700,23 @@ fn respond_routed(
     // chosen candidate's per-term estimate is what this very fetch was
     // scheduled on, so the pair feeds the prediction-error histograms.
     let fetch_started = Instant::now();
-    if !is_dynamic {
+    let Some(result) = fulfill(shared, req, body, &mut sched, deadline, may_block) else {
+        return Err(Stop::Blocked(Box::new(Stage::Fetch(sched))));
+    };
+    if let Target::Document { .. } = sched.target {
         // Count the serve toward this node's popularity table: these
         // counts feed loadd's hot-list piggyback and the replicator.
-        shared.popularity.record(info.file, &path);
+        shared.popularity.record(sched.file, &sched.path);
     }
-    let result = fulfill(shared, req, body, &path, class, &full, size, deadline);
     let fetch_us = fetch_started.elapsed().as_micros() as u64;
     shared.stats.phases.record(Phase::Fetch, fetch_us);
-    let cost = decision.cost;
+    let cost = sched.decision.cost;
     shared.stats.feedback.record(cost.t_redirection, cost.t_data, cost.t_cpu, fetch_us);
     if deadline.is_some_and(|d| d.overrun(Phase::Fetch)) {
         shared.stats.deadline_overruns.inc();
-        return (overloaded(shared), None);
+        return Ok((overloaded(shared), None));
     }
-    result
+    Ok(result)
 }
 
 /// Run a filesystem read, retrying transient failures with bounded
@@ -587,31 +758,43 @@ fn read_with_retry<T>(
     unreachable!("loop returns on attempt == 2")
 }
 
-/// Local fulfillment: invoke the dynamic handler or read the document.
-#[allow(clippy::too_many_arguments)]
+/// Local fulfillment: answer from the file or response cache, else — when
+/// `may_block` — invoke the dynamic handler or read the document; `None`
+/// when only a blocking step could answer.
 fn fulfill(
     shared: &NodeShared,
     req: &Request,
     body: &[u8],
-    path: &str,
-    class: Option<&'static str>,
-    full: &std::path::Path,
-    size: u64,
+    sched: &mut Scheduled,
     deadline: Option<&RequestDeadline>,
-) -> (Response, Option<(std::fs::File, u64)>) {
+    may_block: bool,
+) -> Option<Parts> {
     // Fault injection: a browned-out node serves *everything* late —
     // dynamic and static alike — unlike SlowDisk, which models one slow
     // device. The stall sits in the fetch phase, where the deadline
-    // check after fulfillment sees it.
-    if shared.chaos.is_active() {
+    // check after fulfillment sees it. (While it applies, the front half
+    // leaves every request to the worker path: the loop never sleeps.)
+    if may_block && shared.chaos.is_active() {
         if let Some(extra) = shared.chaos.brownout_delay(shared.id.0) {
             std::thread::sleep(extra);
         }
     }
-    if class.is_some() {
-        return (fulfill_dynamic(shared, req, body, path, deadline), None);
+    let path = sched.path.as_str();
+    let (full, mtime) = match &mut sched.target {
+        Target::Handler { probe, .. } => {
+            let resp = fulfill_dynamic(shared, req, body, path, probe, deadline, may_block)?;
+            return Some((resp, None));
+        }
+        Target::Document { full, mtime } => (full.as_path(), *mtime),
+    };
+    if let Some(body) = shared.file_cache.hit(path, mtime) {
+        return Some((document(shared, path, body, mtime), None));
     }
-    // A degraded disk/NFS mount serves reads late, not wrong.
+    if !may_block {
+        return None;
+    }
+    // A degraded disk/NFS mount serves reads late, not wrong. Documents
+    // answered from RAM above never touch it.
     if shared.chaos.is_active() {
         if let Some(extra) = shared.chaos.disk_delay(shared.id.0) {
             std::thread::sleep(extra);
@@ -621,68 +804,71 @@ fn fulfill(
     // (`sendfile`): buffering them would evict the whole hot set for one
     // request and still pay a copy. Everything cacheable goes through the
     // FileCache so repeat requests share one in-memory body.
-    if size >= SENDFILE_MIN && size > shared.file_cache.capacity() {
-        match read_with_retry(shared, || std::fs::File::open(full)) {
-            Ok(f) => {
-                shared.stats.served.inc();
-                let mut resp = Response::ok("", mime_for_path(path));
-                if let Some(secs) = f
-                    .metadata()
-                    .ok()
-                    .and_then(|m| m.modified().ok())
-                    .and_then(|t| t.duration_since(std::time::UNIX_EPOCH).ok())
-                {
-                    resp.headers
-                        .set("Last-Modified", sweb_http::format_http_date(secs.as_secs()));
-                }
-                resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-                return (resp, Some((f, size)));
-            }
-            Err(_) => return (Response::error(StatusCode::InternalServerError), None),
-        }
+    if sched.size >= SENDFILE_MIN && sched.size > shared.file_cache.capacity() {
+        return Some(match read_with_retry(shared, || std::fs::File::open(full)) {
+            Ok(f) => (document(shared, path, Bytes::new(), mtime), Some((f, sched.size))),
+            Err(_) => (Response::error(StatusCode::InternalServerError), None),
+        });
     }
-    match read_with_retry(shared, || shared.file_cache.read(path, full)) {
-        Ok((body, mtime)) => {
-            shared.stats.served.inc();
-            let mut resp = Response::ok(body, mime_for_path(path));
-            if let Ok(secs) = mtime.duration_since(std::time::UNIX_EPOCH) {
-                resp.headers
-                    .set("Last-Modified", sweb_http::format_http_date(secs.as_secs()));
-            }
-            resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-            (resp, None)
-        }
+    Some(match read_with_retry(shared, || shared.file_cache.read_validated(path, full, mtime)) {
+        Ok(body) => (document(shared, path, body, mtime), None),
         Err(_) => (Response::error(StatusCode::InternalServerError), None),
-    }
+    })
 }
 
-/// Dynamic fulfillment on the worker-pool thread the engine dispatched
-/// us to: response-cache lookup, then handler invocation, timed — the
-/// measurement feeds the per-class `t_cpu` histogram *and* the oracle's
-/// tuned table (converted to ops at this node's clock), closing the
-/// predicted-vs-measured loop per handler class. Only real invocations
-/// feed the oracle: a cache hit measures the cache, not the handler.
+/// A served document: 200 with its type, `Last-Modified` and our node id.
+fn document(shared: &NodeShared, path: &str, body: Bytes, mtime: SystemTime) -> Response {
+    shared.stats.served.inc();
+    let mut resp = Response::ok(body, mime_for_path(path));
+    if let Some(secs) = unix_secs(mtime) {
+        resp.headers.set("Last-Modified", sweb_http::format_http_date(secs));
+    }
+    resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
+    resp
+}
+
+fn unix_secs(t: SystemTime) -> Option<u64> {
+    t.duration_since(std::time::UNIX_EPOCH).ok().map(|d| d.as_secs())
+}
+
+/// Dynamic fulfillment: response-cache lookup, then (when `may_block`)
+/// handler invocation, timed — the measurement feeds the per-class
+/// `t_cpu` histogram *and* the oracle's tuned table (converted to ops at
+/// this node's clock), closing the predicted-vs-measured loop per handler
+/// class. Only real invocations feed the oracle: a cache hit measures the
+/// cache, not the handler.
 fn fulfill_dynamic(
     shared: &NodeShared,
     req: &Request,
     body: &[u8],
     path: &str,
+    probe: &mut CacheProbe,
     deadline: Option<&RequestDeadline>,
-) -> Response {
+    may_block: bool,
+) -> Option<Response> {
     let handler = shared.dynamic.registry().lookup(path).expect("existence checked above");
     let class = handler.class();
     let class_stats = shared.dynamic.class_stats(class);
-    let key = handler.cache_key(req, body);
-    if let Some(k) = key.as_deref() {
-        if let Some(mut resp) = shared.dynamic.cache.get(class, k) {
-            if let Some(s) = class_stats {
-                s.cache_hits.inc();
+    let key = match std::mem::take(probe) {
+        CacheProbe::Missed(key) => key,
+        CacheProbe::NotYet => {
+            let key = handler.cache_key(req, body);
+            let hit = key.as_deref().and_then(|k| shared.dynamic.cache.get(class, k));
+            if let Some(mut resp) = hit {
+                if let Some(s) = class_stats {
+                    s.cache_hits.inc();
+                }
+                shared.stats.served.inc();
+                resp.headers.set("X-SWEB-Dynamic-Cache", "hit");
+                resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
+                return Some(resp);
             }
-            shared.stats.served.inc();
-            resp.headers.set("X-SWEB-Dynamic-Cache", "hit");
-            resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-            return resp;
+            key
         }
+    };
+    if !may_block {
+        *probe = CacheProbe::Missed(key);
+        return None;
     }
     let ctx = crate::dynamic::HandlerCtx { shared, deadline };
     let invoke_started = Instant::now();
@@ -711,7 +897,7 @@ fn fulfill_dynamic(
     }
     shared.stats.served.inc();
     resp.headers.set("X-SWEB-Node", shared.id.0.to_string());
-    resp
+    Some(resp)
 }
 
 #[cfg(test)]

@@ -396,36 +396,51 @@ impl NodeShared {
 }
 
 /// Adapter exposing a node to the event-driven engine: `respond` runs the
-/// same §3.2 pipeline the threaded engine uses, and the reactor's hooks
-/// feed the node's live load gauges — so loadd advertises the same load
-/// vector no matter which engine produced it. One `ReactorApp` exists per
-/// shard; loop-thread hooks attribute to this shard's metric cell
-/// explicitly, and `respond` pins the worker thread's shard hint so
-/// handler-path increments attribute the same way.
+/// same §3.2 pipeline the threaded engine uses — its front half on the
+/// loop thread, any blocking remainder as a worker continuation — and the
+/// reactor's hooks feed the node's live load gauges, so loadd advertises
+/// the same load vector no matter which engine produced it. One
+/// `ReactorApp` exists per shard; loop-thread hooks attribute to this
+/// shard's metric cell explicitly, and a continuation pins the worker
+/// thread's shard hint so handler-path increments attribute the same way.
 struct ReactorApp {
     shared: Arc<NodeShared>,
     shard: usize,
 }
 
+/// Wrap a finished answer for the reactor, logging it first.
+fn logged_reply(
+    shared: &NodeShared,
+    peer: &str,
+    req: &Request,
+    (resp, file): handler::Parts,
+) -> sweb_reactor::Reply {
+    if let Some(log) = &shared.access_log {
+        let body_len = file.as_ref().map(|(_, len)| *len).unwrap_or(resp.body.len() as u64);
+        let trace = resp.headers.get("x-sweb-trace");
+        let method = handler::method_str(req.method);
+        log.log(peer, method, &req.target, resp.status.code(), body_len, trace);
+    }
+    sweb_reactor::Reply {
+        response: resp,
+        file: file.map(|(file, len)| sweb_reactor::FileBody { file, len }),
+    }
+}
+
 impl sweb_reactor::App for ReactorApp {
-    fn respond(&self, peer: &str, req: &Request, body: &[u8]) -> sweb_reactor::Reply {
-        sweb_telemetry::set_shard(self.shard);
-        let (resp, file) = handler::respond_parts(&self.shared, req, body);
-        if let Some(log) = &self.shared.access_log {
-            let body_len = file.as_ref().map(|(_, len)| *len).unwrap_or(resp.body.len() as u64);
-            let trace = resp.headers.get("x-sweb-trace");
-            log.log(
-                peer,
-                handler::method_str(req.method),
-                &req.target,
-                resp.status.code(),
-                body_len,
-                trace,
-            );
-        }
-        sweb_reactor::Reply {
-            response: resp,
-            file: file.map(|(file, len)| sweb_reactor::FileBody { file, len }),
+    fn respond(&self, peer: &str, req: Request, body: Vec<u8>) -> sweb_reactor::Answer {
+        match handler::respond_front(&self.shared, &req, &body, None) {
+            handler::Front::Done(parts) => {
+                sweb_reactor::Answer::Ready(logged_reply(&self.shared, peer, &req, parts))
+            }
+            handler::Front::Blocked(rest) => {
+                let (shared, shard, peer) = (Arc::clone(&self.shared), self.shard, peer.to_owned());
+                sweb_reactor::Answer::Defer(Box::new(move || {
+                    sweb_telemetry::set_shard(shard);
+                    let parts = rest.run(&shared, &req, &body, None);
+                    logged_reply(&shared, &peer, &req, parts)
+                }))
+            }
         }
     }
     fn accept_gate(&self) -> sweb_reactor::AcceptGate {

@@ -97,6 +97,7 @@ engine_tests!(
     partition_marks_suspect_then_dead_then_heals,
     graceful_stop_evicts_within_one_loadd_period,
     slow_disk_blows_deadline_and_sheds_503,
+    resident_hit_answers_while_slow_disk_holds_the_workers,
     fd_pressure_and_pause_give_definite_outcomes,
     garbled_loadd_packets_counted_never_fatal,
     blackholed_peer_channel_degrades_pull_to_redirect,
@@ -298,6 +299,55 @@ fn slow_disk_blows_deadline_and_sheds_503(engine: Engine) {
     let stats = &cluster.node(0).stats;
     assert!(stats.deadline_overruns.get() >= 1, "overrun not counted");
     assert!(cluster.chaos().counts().snapshot().slow_reads >= 1, "injected stall not counted");
+    cluster.shutdown();
+}
+
+/// A slow disk stalls only what reads the disk: while 800 ms stalls on
+/// non-resident documents hold every worker, a resident document is
+/// answered from memory — on the reactor by the loop thread itself — with
+/// exactly the response the worker path served it with (trace id aside).
+fn resident_hit_answers_while_slow_disk_holds_the_workers(engine: Engine) {
+    let plan = FaultPlan::seeded(plan_seed())
+        .with(Fault::SlowDisk { node: 0, extra_ms: 800, window: Window::ALWAYS });
+    save_plan("slow-disk-hit", engine, &plan);
+    let dir = docroot(&format!("hit-{}", engine.name()));
+    let cluster = LiveCluster::start(1, dir, chaos_config(engine, plan)).unwrap();
+    let url = |doc: &str| format!("{}/{doc}", cluster.base_url(0));
+
+    // The first fetch reads the disk on the worker path, stalled, and
+    // leaves the document resident.
+    let cold = client::get_with_timeout(&url("ok.txt"), Duration::from_secs(5)).unwrap();
+    assert_eq!(cold.status, 200);
+    assert!(cluster.node(0).file_cache.resident("/ok.txt"));
+
+    // More stalled disk reads than the node has workers.
+    let stalls: Vec<_> = (0..8)
+        .map(|i| {
+            let doc = url(&format!("doc{i}.txt"));
+            std::thread::spawn(move || client::get_with_timeout(&doc, Duration::from_secs(10)))
+        })
+        .collect();
+    std::thread::sleep(Duration::from_millis(200));
+    let t0 = Instant::now();
+    let hot = client::get_with_timeout(&url("ok.txt"), Duration::from_secs(5)).unwrap();
+    let took = t0.elapsed();
+    assert_eq!(hot.status, 200);
+    assert!(took < Duration::from_millis(400), "resident hit queued behind the disk: {took:?}");
+    assert_eq!(hot.body, cold.body);
+    let headers = |r: &client::FetchedResponse| -> Vec<(String, String)> {
+        r.headers
+            .iter()
+            .filter(|(k, _)| !k.eq_ignore_ascii_case("x-sweb-trace"))
+            .map(|(k, v)| (k.to_ascii_lowercase(), v.to_string()))
+            .collect()
+    };
+    assert_eq!(headers(&hot), headers(&cold));
+    assert_ne!(hot.headers.get("x-sweb-trace"), cold.headers.get("x-sweb-trace"));
+
+    for stall in stalls {
+        assert_eq!(stall.join().unwrap().unwrap().status, 200);
+    }
+    assert!(cluster.chaos().counts().snapshot().slow_reads >= 9, "a disk read escaped the stall");
     cluster.shutdown();
 }
 

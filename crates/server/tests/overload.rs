@@ -84,6 +84,7 @@ macro_rules! engine_tests {
 
 engine_tests!(
     injected_overload_sheds_with_retry_after,
+    controller_recovers_when_the_overload_ends,
     controller_off_is_the_static_baseline,
     slowloris_dribble_is_evicted_on_the_parse_clock,
     open_breaker_stops_paying_the_peer_deadline,
@@ -135,6 +136,37 @@ fn injected_overload_sheds_with_retry_after(engine: Engine) {
     );
     assert!(report.counters.shed >= 1);
     assert!(report.faults.overload_samples >= 1, "the fault never inflated a sample");
+    cluster.shutdown();
+}
+
+/// Once an injected overload ends, the controller must find its way back
+/// down on its own: the shed requests themselves keep feeding it (small)
+/// queue-sojourn samples, so the level falls and the resident document
+/// is served again — a refusal answered without a sample would leave
+/// the node shedding forever.
+fn controller_recovers_when_the_overload_ends(engine: Engine) {
+    let plan = FaultPlan::seeded(plan_seed()).with(Fault::Overload {
+        node: 0,
+        sojourn_us: 500_000,
+        window: Window::between(0, 1_500),
+    });
+    let dir = docroot(&format!("recover-{}", engine.name()));
+    let cluster = LiveCluster::start(1, dir, overload_config(engine, plan)).unwrap();
+    let url = format!("{}/ok.txt", cluster.base_url(0));
+    let get = || client::get_with_timeout(&url, Duration::from_secs(5)).unwrap().status;
+
+    let mut shed = 0u32;
+    while cluster.chaos().now_ms() < 1_500 {
+        let status = get();
+        assert!(status == 200 || status == 503, "unexpected status {status}");
+        shed += u32::from(status == 503);
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    assert!(shed >= 1, "the injected overload never shed");
+    await_true(Duration::from_secs(5), "resident document served again", || get() == 200);
+    await_true(Duration::from_secs(5), "shed level back to 0", || {
+        status(&cluster, 0).overload.shed_level == 0
+    });
     cluster.shutdown();
 }
 
